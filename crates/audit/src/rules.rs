@@ -8,7 +8,7 @@
 //!
 //! | rule | what it catches |
 //! |------|-----------------|
-//! | `nondet-time`      | `Instant::now` / `SystemTime::now` outside the bench crate |
+//! | `nondet-time`      | `Instant::now` / `SystemTime::now` outside the bench crate and `perfbench/` |
 //! | `nondet-rand`      | `thread_rng` / `from_entropy` (OS-seeded randomness) |
 //! | `nondet-env`       | `std::env::var*` outside `crates/bench/src/cli.rs` |
 //! | `nondet-hasher`    | `HashMap`/`HashSet` with the default `RandomState` in digest crates |
@@ -228,6 +228,10 @@ const PACKING_MODULES: [&str; 4] = [
     "crates/tiers/src/request.rs",
 ];
 
+/// Trees that time the simulator on the host clock: exempt from
+/// `nondet-time` only.
+const WALL_CLOCK_SCOPES: [&str; 2] = ["crates/bench/", "perfbench/"];
+
 fn in_digest_scope(path: &str) -> bool {
     DIGEST_SCOPES.iter().any(|p| path.starts_with(p))
 }
@@ -238,9 +242,10 @@ pub fn rule_in_scope(rule: Rule, path: &str, mode: ScopeMode) -> bool {
         return true;
     }
     match rule {
-        // The bench harness measures wall-clock by design (its numbers are
-        // *labelled* wall-clock); everything else runs on virtual time.
-        Rule::NondetTime => !path.starts_with("crates/bench/"),
+        // The bench harness and the repo benchmark (`perfbench/`) measure
+        // wall-clock by design (their numbers are *labelled* host time);
+        // everything else runs on virtual time.
+        Rule::NondetTime => !WALL_CLOCK_SCOPES.iter().any(|p| path.starts_with(p)),
         Rule::NondetRand => true,
         // All environment knobs funnel through the bench CLI module.
         Rule::NondetEnv => path != "crates/bench/src/cli.rs",

@@ -209,6 +209,40 @@ fn plan_module_is_inside_the_digest_scope() {
 }
 
 #[test]
+fn perfbench_is_exempt_from_nondet_time_only() {
+    use jade_audit::rules::{rule_in_scope, ScopeMode, ALL_RULES};
+    // The repo benchmark reads the host clock by design, like the bench
+    // crate. The exemption is surgical: every other rule scopes
+    // `perfbench/` exactly like any other non-digest tree (the root
+    // `tests/` directory), and simulation crates stay flagged.
+    let bench = "perfbench/src/main.rs";
+    assert!(!rule_in_scope(
+        Rule::NondetTime,
+        bench,
+        ScopeMode::Workspace
+    ));
+    for rule in ALL_RULES {
+        if rule == Rule::NondetTime {
+            continue;
+        }
+        assert_eq!(
+            rule_in_scope(rule, bench, ScopeMode::Workspace),
+            rule_in_scope(rule, "tests/storage_prop.rs", ScopeMode::Workspace),
+            "{} must scope perfbench/ like any other non-digest tree",
+            rule.id()
+        );
+    }
+    for rule in [Rule::NondetRand, Rule::NondetEnv, Rule::BadSuppression] {
+        assert!(rule_in_scope(rule, bench, ScopeMode::Workspace));
+    }
+    assert!(rule_in_scope(
+        Rule::NondetTime,
+        "crates/core/src/system/mod.rs",
+        ScopeMode::Workspace
+    ));
+}
+
+#[test]
 fn every_rule_id_round_trips() {
     for r in jade_audit::rules::ALL_RULES {
         assert_eq!(Rule::parse(r.id()), Some(r));

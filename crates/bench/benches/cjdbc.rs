@@ -7,7 +7,7 @@ use jade_bench::microbench::{black_box, Runner};
 use jade_sim::SimRng;
 use jade_tiers::cjdbc::{CjdbcController, ReadPolicy};
 use jade_tiers::sql::{Schema, Statement, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use std::sync::Arc;
 
@@ -26,8 +26,18 @@ fn controller(n: u32, policy: ReadPolicy) -> CjdbcController {
     c
 }
 
-fn write_stmt(i: i64) -> Arc<Statement> {
-    Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
+fn write_stmt(i: i64) -> Statement {
+    schema().insert("t", &[("a", Value::Int(i))])
+}
+
+/// An insert delta as a primary captures it (the broadcast bench measures
+/// routing and logging, not execution).
+fn write_delta(i: i64) -> WriteDelta {
+    WriteDelta::Insert {
+        table: schema().must_table("t"),
+        key: i as u64,
+        row: Arc::new(vec![Value::Int(i)]),
+    }
 }
 
 fn bench_read_policies(r: &mut Runner) {
@@ -56,9 +66,10 @@ fn bench_write_broadcast(r: &mut Runner) {
             &format!("cjdbc_write_broadcast/broadcast_100_{backends}"),
             || {
                 let mut ctrl = controller(backends, ReadPolicy::RoundRobin);
+                let mut targets = Vec::new();
                 for i in 0..100 {
-                    let (_, targets) = ctrl.route_write(write_stmt(i)).unwrap();
-                    for t in targets {
+                    ctrl.route_write_into(write_delta(i), &mut targets).unwrap();
+                    for &t in &targets {
                         ctrl.note_complete(t);
                     }
                 }
@@ -69,22 +80,24 @@ fn bench_write_broadcast(r: &mut Runner) {
 }
 
 fn bench_recovery_replay(r: &mut Runner) {
-    // Each iteration builds the backlog and replays it into a joining
-    // backend; the build is part of the measured time (the replay path —
-    // batch extraction plus statement re-execution — dominates).
+    // Each iteration builds the backlog on a primary (execute + capture)
+    // and replays it into a joining backend; the build is part of the
+    // measured time (batch extraction plus delta application).
     for backlog in [100usize, 1_000, 10_000] {
         r.bench(&format!("recovery_log_replay/join_after_{backlog}"), || {
             let mut ctrl = controller(1, ReadPolicy::RoundRobin);
-            ctrl.route_write(Arc::new(schema().create_table("t")))
-                .unwrap();
-            for i in 0..backlog {
-                ctrl.route_write(write_stmt(i as i64)).unwrap();
+            let mut primary = Database::new(schema());
+            let mut targets = Vec::new();
+            let create = schema().create_table("t");
+            for stmt in std::iter::once(create).chain((0..backlog).map(|i| write_stmt(i as i64))) {
+                let (_, delta) = primary.execute_capture(&stmt).unwrap();
+                ctrl.route_write_into(delta, &mut targets).unwrap();
             }
             ctrl.register_backend(ServerId(9));
             let mut db = Database::new(schema());
             let plan = ctrl.begin_enable(ServerId(9)).unwrap();
             for entry in &plan.entries {
-                let _ = db.execute(&entry.statement);
+                let _ = db.apply_delta(&entry.delta);
             }
             assert!(ctrl.finish_replay(ServerId(9)).unwrap().is_none());
             db.total_rows()

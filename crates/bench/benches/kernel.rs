@@ -25,7 +25,7 @@ use jade_sim::{MovingAverage, Retention, SeriesCursor, SimDuration, SimTime, Tim
 use jade_tiers::recovery::RecoveryLog;
 use jade_tiers::request::{SqlOp, SqlProgram};
 use jade_tiers::sql::{Schema, SharedRow, Statement, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
@@ -622,22 +622,19 @@ fn bench_replication(r: &mut Runner) {
                 let mut log = RecoveryLog::new(Arc::clone(&schema));
                 let mut acc = 0u64;
                 for s in &writes {
-                    match primary.execute_capture(s) {
+                    let delta = match primary.execute_capture(s) {
                         Ok((summary, delta)) => {
                             acc = acc.wrapping_add(summary.cardinality());
-                            let delta = Arc::new(delta);
-                            for db in &mut replicas {
-                                let _ = db.apply_delta(&delta);
-                            }
-                            log.append_captured(Arc::clone(s), delta);
+                            delta
                         }
-                        Err(_) => {
-                            log.append(Arc::clone(s));
-                            for db in &mut replicas {
-                                let _ = db.execute(s);
-                            }
-                        }
+                        // Failed on the primary, so on every replica too:
+                        // a no-effect entry.
+                        Err(_) => WriteDelta::Noop,
+                    };
+                    for db in &mut replicas {
+                        let _ = db.apply_delta(&delta);
                     }
+                    log.append(delta);
                 }
                 acc.wrapping_add(log.head())
             },
@@ -671,14 +668,10 @@ fn bench_replication(r: &mut Runner) {
         let mut primary = base.clone();
         let mut log = RecoveryLog::new(Arc::clone(&rubis));
         for s in &sync_writes {
-            match primary.execute_capture(s) {
-                Ok((_, delta)) => {
-                    log.append_captured(Arc::clone(s), Arc::new(delta));
-                }
-                Err(_) => {
-                    log.append(Arc::clone(s));
-                }
-            }
+            let delta = primary
+                .execute_capture(s)
+                .map_or(WriteDelta::Noop, |(_, d)| d);
+            log.append(delta);
             if log.snapshot_due() {
                 log.install_snapshot(primary.snapshot());
             }
@@ -692,14 +685,7 @@ fn bench_replication(r: &mut Runner) {
                     None => base.clone(),
                 };
                 for entry in &plan.entries {
-                    match &entry.delta {
-                        Some(delta) => {
-                            let _ = joiner.apply_delta(delta);
-                        }
-                        None => {
-                            let _ = joiner.execute(&entry.statement);
-                        }
-                    }
+                    let _ = joiner.apply_delta(&entry.delta);
                 }
                 joiner.total_rows()
             },

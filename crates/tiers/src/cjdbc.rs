@@ -7,11 +7,11 @@
 //! * backend membership with the Active / Syncing / Disabled life-cycle,
 //! * read distribution over active backends (Round-Robin, Random or
 //!   Least-Pending scheduling),
-//! * write broadcast to all active backends, every write appended to the
-//!   [`crate::recovery::RecoveryLog`]. The first active backend in id
-//!   order is the deterministic *primary*: it executes the statement once
+//! * write broadcast to all active backends. The first active backend in
+//!   id order is the deterministic *primary*: it executes the write once
 //!   and captures a [`WriteDelta`](crate::storage::WriteDelta) that the
-//!   remaining replicas apply without re-evaluating,
+//!   remaining replicas apply without re-evaluating, and that delta is
+//!   the write's [`crate::recovery::RecoveryLog`] entry,
 //! * state reconciliation: a joining backend receives a
 //!   [`SyncPlan`](crate::recovery::SyncPlan) — the nearest checkpoint
 //!   snapshot plus the delta tail past it, or the exact log suffix it is
@@ -20,7 +20,7 @@
 
 use crate::recovery::{RecoveryLog, SyncPlan};
 use crate::server::ServerId;
-use crate::sql::{Schema, Statement};
+use crate::sql::Schema;
 use crate::storage::{Snapshot, WriteDelta};
 use jade_sim::SimRng;
 use std::collections::BTreeMap;
@@ -262,9 +262,6 @@ impl CjdbcController {
     }
 
     /// Active backends in id order.
-    // jade-audit: allow(hot-alloc): a read routes over the snapshot so a
-    // backend disabled mid-iteration cannot shift the rotation; its length
-    // is the replica count (single digits), not the request count.
     pub fn active_backends(&self) -> Vec<ServerId> {
         self.backends
             .iter()
@@ -290,33 +287,32 @@ impl CjdbcController {
     // Request routing
     // ------------------------------------------------------------------
 
-    /// Routes a read to one active backend according to the policy.
-    // jade-audit: allow(hot-panic): all three arms index modulo/below
-    // active.len(), which the emptiness guard above ensures is nonzero,
-    // and chosen was just drawn from that same backend map.
+    /// Routes a read to one active backend according to the policy. The
+    /// choice is made over the backend map in place, in id order — no
+    /// list of active backends is built per read.
     pub fn route_read(&mut self, rng: &mut SimRng) -> Result<ServerId, CjdbcError> {
-        let active = self.active_backends();
-        if active.is_empty() {
+        let n = self.active_count();
+        if n == 0 {
             return Err(CjdbcError::NoActiveBackend);
         }
+        let mut active = self
+            .backends
+            .iter_mut()
+            .filter(|(_, b)| b.status == BackendStatus::Active);
         let chosen = match self.policy {
             ReadPolicy::RoundRobin => {
-                let id = active[self.rr_cursor % active.len()];
-                self.rr_cursor = (self.rr_cursor + 1) % active.len().max(1);
-                id
+                let i = self.rr_cursor % n;
+                self.rr_cursor = (self.rr_cursor + 1) % n;
+                active.nth(i)
             }
-            ReadPolicy::Random => active[rng.below(active.len())],
-            ReadPolicy::LeastPending => active
-                .iter()
-                .copied()
-                .min_by_key(|id| self.backends[id].pending)
-                .expect("active is non-empty"),
+            ReadPolicy::Random => active.nth(rng.below(n)),
+            // `min_by_key` returns the first minimum: ties go to the
+            // lowest id.
+            ReadPolicy::LeastPending => active.min_by_key(|(_, b)| b.pending),
         };
-        self.backends
-            .get_mut(&chosen)
-            .expect("chosen is known")
-            .pending += 1;
-        Ok(chosen)
+        let (&id, b) = chosen.ok_or(CjdbcError::NoActiveBackend)?;
+        b.pending += 1;
+        Ok(id)
     }
 
     /// The deterministic write primary: the first active backend in id
@@ -330,32 +326,18 @@ impl CjdbcController {
             .map(|(&id, _)| id)
     }
 
-    /// Routes a write: appends it to the recovery log and returns the set
-    /// of active backends that must execute it (write broadcast). The
-    /// statement is `Arc`-shared — broadcasting to N mirrored backends and
-    /// logging it performs zero statement clones. All active backends'
-    /// checkpoints advance — in this deterministic model the broadcast is
-    /// applied atomically with respect to membership changes.
-    pub fn route_write(
-        &mut self,
-        stmt: Arc<Statement>,
-    ) -> Result<(u64, Vec<ServerId>), CjdbcError> {
-        let mut targets = Vec::new();
-        let index = self.route_write_into(stmt, None, &mut targets)?;
-        Ok((index, targets))
-    }
-
-    /// Scratch-buffer variant of [`CjdbcController::route_write`]: fills
-    /// `out` with the broadcast set (id order, so `out[0]` is the write
-    /// primary) instead of allocating, and logs the write together with
-    /// the delta its primary captured, if any. The steady-state write path
-    /// performs zero allocations here.
+    /// Routes a write: fills `out` with the broadcast set (every active
+    /// backend, in id order, so `out[0]` is the write primary) and appends
+    /// the delta its primary captured to the recovery log, returning the
+    /// entry's index. All active backends' checkpoints advance — in this
+    /// deterministic model the broadcast is applied atomically with
+    /// respect to membership changes. The steady-state write path performs
+    /// zero allocations here.
     // jade-audit: allow(hot-panic): the ids in `out` were collected from
     // the backend map a few lines above; the expect restates that.
     pub fn route_write_into(
         &mut self,
-        stmt: Arc<Statement>,
-        delta: Option<Arc<WriteDelta>>,
+        delta: WriteDelta,
         out: &mut Vec<ServerId>,
     ) -> Result<u64, CjdbcError> {
         out.clear();
@@ -368,10 +350,7 @@ impl CjdbcController {
         if out.is_empty() {
             return Err(CjdbcError::NoActiveBackend);
         }
-        let index = match delta {
-            Some(delta) => self.log.append_captured(stmt, delta),
-            None => self.log.append(stmt),
-        };
+        let index = self.log.append(delta);
         for id in out.iter() {
             let b = self.backends.get_mut(id).expect("active is known");
             b.checkpoint = index + 1;
@@ -425,8 +404,21 @@ mod tests {
         Schema::builder().table("t", &["a"]).build()
     }
 
-    fn write(i: i64) -> Arc<Statement> {
-        Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
+    /// An insert delta as a primary would capture it (membership tests
+    /// look only at log positions, not at state).
+    fn write(i: i64) -> WriteDelta {
+        WriteDelta::Insert {
+            table: schema().must_table("t"),
+            key: i as u64,
+            row: Arc::new(vec![Value::Int(i)]),
+        }
+    }
+
+    /// Logs and broadcasts one write, returning its index and targets.
+    fn route(c: &mut CjdbcController, delta: WriteDelta) -> (u64, Vec<ServerId>) {
+        let mut targets = Vec::new();
+        let index = c.route_write_into(delta, &mut targets).unwrap();
+        (index, targets)
     }
 
     fn controller_with_active(n: u32) -> CjdbcController {
@@ -450,7 +442,7 @@ mod tests {
     #[test]
     fn writes_broadcast_to_all_active() {
         let mut c = controller_with_active(3);
-        let (idx, targets) = c.route_write(write(1)).unwrap();
+        let (idx, targets) = route(&mut c, write(1));
         assert_eq!(idx, 0);
         assert_eq!(targets.len(), 3);
         assert_eq!(c.recovery_log().head(), 1);
@@ -492,7 +484,7 @@ mod tests {
     fn late_joiner_gets_exact_backlog() {
         let mut c = controller_with_active(1);
         for i in 0..5 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -508,7 +500,7 @@ mod tests {
     #[test]
     fn writes_during_sync_produce_second_batch() {
         let mut c = controller_with_active(1);
-        c.route_write(write(0)).unwrap();
+        route(&mut c, write(0));
         let id = ServerId(9);
         c.register_backend(id);
         let batch1 = c.begin_enable(id).unwrap();
@@ -516,7 +508,7 @@ mod tests {
         // A write lands while the new backend replays batch 1. It goes to
         // the active backend only (the syncing one is not in the broadcast
         // set).
-        let (_, targets) = c.route_write(write(1)).unwrap();
+        let (_, targets) = route(&mut c, write(1));
         assert!(!targets.contains(&id));
         let batch2 = c.finish_replay(id).unwrap().expect("second batch");
         assert!(
@@ -532,12 +524,12 @@ mod tests {
     #[test]
     fn disable_records_checkpoint_and_reenable_replays_only_missing() {
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        route(&mut c, write(0));
         c.disable_backend(ServerId(1)).unwrap();
         assert_eq!(c.checkpoint(ServerId(1)).unwrap(), 1);
         // Two writes happen while disabled.
-        c.route_write(write(1)).unwrap();
-        c.route_write(write(2)).unwrap();
+        route(&mut c, write(1));
+        route(&mut c, write(2));
         let plan = c.begin_enable(ServerId(1)).unwrap();
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.entries[0].index, 1);
@@ -546,7 +538,7 @@ mod tests {
     #[test]
     fn failed_backend_resyncs_from_scratch() {
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        route(&mut c, write(0));
         c.fail_backend(ServerId(1)).unwrap();
         assert_eq!(c.checkpoint(ServerId(1)).unwrap(), 0);
         let plan = c.begin_enable(ServerId(1)).unwrap();
@@ -557,7 +549,7 @@ mod tests {
     fn abort_enable_restores_the_applied_checkpoint() {
         let mut c = controller_with_active(1);
         for i in 0..4 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -572,7 +564,7 @@ mod tests {
         assert_eq!(batch.entries.len(), 4);
         // Acknowledge the first batch, then writes arrive, then abort:
         // the checkpoint keeps the acknowledged prefix.
-        let (_, _) = c.route_write(write(100)).unwrap();
+        let (_, _) = route(&mut c, write(100));
         let next = c.finish_replay(id).unwrap().expect("second batch");
         assert_eq!(next.entries.len(), 1);
         c.abort_enable(id).unwrap();
@@ -587,10 +579,10 @@ mod tests {
     fn disable_then_reenable_replays_only_the_gap() {
         // The paper's §4.1 symmetric removal: disable keeps the trace.
         let mut c = controller_with_active(2);
-        c.route_write(write(0)).unwrap();
+        route(&mut c, write(0));
         c.disable_backend(ServerId(1)).unwrap();
         for i in 1..4 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         let plan = c.begin_enable(ServerId(1)).unwrap();
         let indices: Vec<u64> = plan.entries.iter().map(|e| e.index).collect();
@@ -613,11 +605,11 @@ mod tests {
     fn route_write_into_reuses_scratch_and_orders_primary_first() {
         let mut c = controller_with_active(3);
         let mut scratch = vec![ServerId(99)]; // stale content must be cleared
-        let idx = c.route_write_into(write(1), None, &mut scratch).unwrap();
+        let idx = c.route_write_into(write(1), &mut scratch).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(scratch, vec![ServerId(0), ServerId(1), ServerId(2)]);
         assert_eq!(scratch[0], c.write_primary().unwrap());
-        let idx = c.route_write_into(write(2), None, &mut scratch).unwrap();
+        let idx = c.route_write_into(write(2), &mut scratch).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(scratch.len(), 3);
     }
@@ -628,14 +620,14 @@ mod tests {
         let mut c = controller_with_active(1);
         c.set_snapshot_interval(4);
         let mut db = Database::new(schema());
-        db.execute(&schema().create_table("t")).unwrap();
         // The create-table broadcast is also a logged write.
-        let (_, targets) = c.route_write(Arc::new(schema().create_table("t"))).unwrap();
+        let (_, create) = db.execute_capture(&schema().create_table("t")).unwrap();
+        let (_, targets) = route(&mut c, create);
         assert_eq!(targets.len(), 1);
         for i in 0..9 {
-            let stmt = write(i);
-            c.route_write(Arc::clone(&stmt)).unwrap();
-            db.execute(&stmt).unwrap();
+            let stmt = schema().insert("t", &[("a", Value::Int(i))]);
+            let (_, delta) = db.execute_capture(&stmt).unwrap();
+            route(&mut c, delta);
             if c.snapshot_due() {
                 c.install_snapshot(db.snapshot());
             }
@@ -654,7 +646,7 @@ mod tests {
         let mut joiner = Database::from_snapshot(&snap);
         for entry in &plan.entries {
             assert!(entry.index >= pos);
-            joiner.execute(&entry.statement).unwrap();
+            joiner.apply_delta(&entry.delta).unwrap();
         }
         assert_eq!(joiner.digest(), db.digest());
     }
@@ -665,7 +657,7 @@ mod tests {
     fn fail_during_syncing_discards_session_and_resets_checkpoint() {
         let mut c = controller_with_active(1);
         for i in 0..3 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         let id = ServerId(9);
         c.register_backend(id);
@@ -686,12 +678,12 @@ mod tests {
         // acknowledged prefix (checkpoint falls back to `applied`).
         let mut c = controller_with_active(1);
         for i in 0..3 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         let id = ServerId(9);
         c.register_backend(id);
         c.begin_enable(id).unwrap();
-        c.route_write(write(3)).unwrap();
+        route(&mut c, write(3));
         // First batch (3 entries) acknowledged; second (1 entry) handed
         // out but never acknowledged before the abort.
         assert!(c.finish_replay(id).unwrap().is_some());
@@ -706,7 +698,7 @@ mod tests {
     fn fail_then_reregister_starts_from_scratch() {
         let mut c = controller_with_active(2);
         for i in 0..4 {
-            c.route_write(write(i)).unwrap();
+            route(&mut c, write(i));
         }
         c.fail_backend(ServerId(1)).unwrap();
         // The node is released, then a replacement registers under the
@@ -738,5 +730,114 @@ mod tests {
             c.disable_backend(ServerId(0)),
             Err(CjdbcError::WrongStatus(_, BackendStatus::Disabled))
         ));
+    }
+
+    // Differential check of in-place read routing.
+
+    /// The routing rule before reads went in place: collect the Active ids
+    /// in id order, then index into the list. Tracks `(active, pending)`
+    /// per backend and its own round-robin cursor.
+    #[derive(Default)]
+    struct CollectThenIndex {
+        backends: BTreeMap<ServerId, (bool, usize)>,
+        rr_cursor: usize,
+    }
+
+    impl CollectThenIndex {
+        fn pick(&mut self, policy: ReadPolicy, rng: &mut SimRng) -> Option<ServerId> {
+            let active: Vec<ServerId> = self
+                .backends
+                .iter()
+                .filter(|(_, (on, _))| *on)
+                .map(|(&id, _)| id)
+                .collect();
+            if active.is_empty() {
+                return None;
+            }
+            let chosen = match policy {
+                ReadPolicy::RoundRobin => {
+                    let id = active[self.rr_cursor % active.len()];
+                    self.rr_cursor = (self.rr_cursor + 1) % active.len();
+                    id
+                }
+                ReadPolicy::Random => active[rng.below(active.len())],
+                ReadPolicy::LeastPending => {
+                    *active.iter().min_by_key(|id| self.backends[id].1).unwrap()
+                }
+            };
+            self.backends.get_mut(&chosen).unwrap().1 += 1;
+            Some(chosen)
+        }
+    }
+
+    #[test]
+    fn in_place_routing_matches_collect_then_index() {
+        jade_propcheck::run("in_place_routing_matches_collect_then_index", 256, |g| {
+            const POLICIES: [ReadPolicy; 3] = [
+                ReadPolicy::RoundRobin,
+                ReadPolicy::Random,
+                ReadPolicy::LeastPending,
+            ];
+            let mut policy = *g.choose(&POLICIES);
+            let mut c = CjdbcController::new(policy, schema());
+            let mut m = CollectThenIndex::default();
+            let seed = g.u64(0..u64::MAX);
+            let (mut rng_c, mut rng_m) = (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+            for _ in 0..g.usize(1..200) {
+                let id = ServerId(g.u32(0..6));
+                match g.weighted(&[2, 3, 1, 1, 1, 3, 8, 1]) {
+                    0 => {
+                        c.register_backend(id);
+                        m.backends.entry(id).or_insert((false, 0));
+                    }
+                    1 => {
+                        if c.begin_enable(id).is_ok() {
+                            assert!(c.finish_replay(id).unwrap().is_none());
+                            m.backends.get_mut(&id).unwrap().0 = true;
+                        }
+                    }
+                    2 => {
+                        if c.disable_backend(id).is_ok() {
+                            m.backends.insert(id, (false, 0));
+                        }
+                    }
+                    3 => {
+                        if c.fail_backend(id).is_ok() {
+                            m.backends.insert(id, (false, 0));
+                        }
+                    }
+                    4 => {
+                        c.unregister_backend(id);
+                        m.backends.remove(&id);
+                    }
+                    5 => {
+                        c.note_complete(id);
+                        if let Some((_, p)) = m.backends.get_mut(&id) {
+                            *p = p.saturating_sub(1);
+                        }
+                    }
+                    6 => {
+                        let got = c.route_read(&mut rng_c).ok();
+                        assert_eq!(got, m.pick(policy, &mut rng_m), "{policy:?}");
+                    }
+                    _ => {
+                        policy = *g.choose(&POLICIES);
+                        c.set_policy(policy);
+                    }
+                }
+                assert_eq!(c.rr_cursor, m.rr_cursor);
+                let ours: Vec<(ServerId, bool, usize)> = c
+                    .backends
+                    .iter()
+                    .map(|(&id, b)| (id, b.status == BackendStatus::Active, b.pending))
+                    .collect();
+                let theirs: Vec<(ServerId, bool, usize)> = m
+                    .backends
+                    .iter()
+                    .map(|(&id, &(on, p))| (id, on, p))
+                    .collect();
+                assert_eq!(ours, theirs);
+            }
+        });
     }
 }

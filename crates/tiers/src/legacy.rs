@@ -17,6 +17,7 @@ use crate::cjdbc::{BackendStatus, CjdbcController, CjdbcError, ReadPolicy};
 use crate::mysql::MysqlServer;
 use crate::recovery::SyncPlan;
 use crate::server::{ServerId, ServerProcess, ServerState, Tier};
+use crate::storage::WriteDelta;
 use crate::tomcat::TomcatServer;
 use jade_cluster::{ClusterManager, Network, NodeId, SoftwareInstallationService};
 use jade_sim::{SimDuration, SimRng, SimTime};
@@ -635,7 +636,7 @@ impl LegacyLayer {
         Ok(())
     }
 
-    /// Completes one replay batch: applies the buffered statements to the
+    /// Completes one replay batch: applies the buffered deltas to the
     /// backend's storage, then either schedules the next batch (writes
     /// arrived during replay) or activates the backend.
     pub fn cjdbc_replay_batch_done(
@@ -666,20 +667,10 @@ impl LegacyLayer {
                 // delta tail past it, instead of replaying the history.
                 m.db = crate::storage::Database::from_snapshot(snapshot);
             }
+            // Apply the physical effects the primary captured — no
+            // statement re-evaluation.
             for entry in &plan.entries {
-                match &entry.delta {
-                    // Apply the physical effect the primary captured —
-                    // no statement re-evaluation.
-                    Some(delta) => {
-                        let _ = m.db.apply_delta(delta);
-                    }
-                    // No captured delta (the statement errored on the
-                    // primary): re-execute, tolerating individual errors
-                    // the same way C-JDBC does.
-                    None => {
-                        let _ = m.execute(&entry.statement);
-                    }
-                }
+                let _ = m.db.apply_delta(&entry.delta);
             }
         }
         match self.cjdbc_mut(cjdbc)?.finish_replay(backend)? {
@@ -750,35 +741,18 @@ impl LegacyLayer {
         Ok((backend, query.demand()))
     }
 
-    /// Broadcasts a write to all active backends, appending it to the
-    /// recovery log; returns the per-backend CPU demands to charge.
-    pub fn cjdbc_execute_write(
-        &mut self,
-        cjdbc: ServerId,
-        op: &crate::request::SqlOp,
-    ) -> Result<Vec<(ServerId, SimDuration)>, LegacyError> {
-        let mut targets = Vec::new();
-        self.cjdbc_execute_write_into(cjdbc, crate::request::DbQuery::Stmt(op), &mut targets)?;
-        Ok(targets.into_iter().map(|b| (b, op.demand)).collect())
-    }
-
-    /// Scratch-buffer variant of
-    /// [`LegacyLayer::cjdbc_execute_write`]: fills `out` with the
-    /// broadcast set (every backend is charged the query's demand) with
-    /// zero steady-state allocation. The deterministic primary (`out[0]`)
-    /// executes the write once and captures a physical
+    /// Broadcasts a write to all active backends and appends it to the
+    /// recovery log, filling `out` with the broadcast set (every backend
+    /// is charged the query's demand). The deterministic primary
+    /// (`out[0]`) executes the write once and captures a physical
     /// [`crate::storage::WriteDelta`]; the remaining replicas apply the
     /// delta — sharing the primary's row allocations — instead of
-    /// re-evaluating the statement. A compiled step executes
-    /// opcode-directly on the primary and materializes its prepared
-    /// statement only for the recovery log (whose entries are statements,
-    /// paper §4.1) — the same one allocation the interpreted generator
-    /// made up front.
-    // jade-audit: allow(hot-alloc, hot-panic): the Arcs are the one
-    // materialization of the write's statement and delta, shared by
-    // reference across every replica and the recovery log; out[1..] is
-    // safe because route_write_into guarantees a non-empty broadcast list
-    // (primary first).
+    /// re-evaluating the query, and the same delta is the recovery-log
+    /// entry. A compiled step executes opcode-directly: no `Statement` is
+    /// built, and the only allocations are the new row data itself.
+    // jade-audit: allow(hot-panic): out[1..] is safe because
+    // route_write_into guarantees a non-empty broadcast list (primary
+    // first).
     pub fn cjdbc_execute_write_into(
         &mut self,
         cjdbc: ServerId,
@@ -794,39 +768,24 @@ impl LegacyLayer {
             .cjdbc(cjdbc)?
             .write_primary()
             .ok_or(CjdbcError::NoActiveBackend)?;
-        // On capture failure the write is still logged and broadcast (the
-        // cluster-wide outcome of a failed write is deterministic too) —
-        // without a delta, so every replica re-executes it and fails
-        // identically.
-        let (stmt, delta) = match query {
-            crate::request::DbQuery::Stmt(op) => {
-                let delta = match self.mysql_mut(primary)?.execute_capture(&op.statement) {
-                    Ok((_, delta)) => Some(Arc::new(delta)),
-                    Err(_) => None,
-                };
-                (Arc::clone(&op.statement), delta)
-            }
+        let m = self.mysql_mut(primary)?;
+        let captured = match query {
+            crate::request::DbQuery::Stmt(op) => m.execute_capture(&op.statement),
             crate::request::DbQuery::Step { step, params, .. } => {
-                let delta = match self.mysql_mut(primary)?.execute_step_capture(step, params) {
-                    Ok((_, delta)) => Some(Arc::new(delta)),
-                    Err(_) => None,
-                };
-                (Arc::new(step.statement(params)), delta)
+                m.execute_step_capture(step, params)
             }
         };
+        // A write that fails on the primary is still logged and broadcast
+        // (the cluster-wide outcome of a failed write is deterministic
+        // too), as a no-effect entry: every storage error is raised before
+        // any mutation, so it fails identically on every replica.
+        let delta = captured.map_or(WriteDelta::Noop, |(_, delta)| delta);
+        // Cloning a delta bumps its row `Arc`; it allocates nothing.
         self.cjdbc_mut(cjdbc)?
-            .route_write_into(Arc::clone(&stmt), delta.clone(), out)?;
+            .route_write_into(delta.clone(), out)?;
         debug_assert_eq!(out.first(), Some(&primary), "primary broadcasts first");
         for &b in &out[1..] {
-            let m = self.mysql_mut(b)?;
-            match &delta {
-                Some(delta) => {
-                    let _ = m.db.apply_delta(delta);
-                }
-                None => {
-                    let _ = m.execute(&stmt);
-                }
-            }
+            let _ = self.mysql_mut(b)?.db.apply_delta(&delta);
         }
         // Checkpoint cadence: every `snapshot_interval` writes, store a
         // copy-on-write snapshot of the (identical) cluster state so late
@@ -1006,6 +965,12 @@ mod tests {
         )
     }
 
+    /// Broadcasts one interpreted write.
+    fn write(l: &mut LegacyLayer, cj: ServerId, op: &SqlOp) {
+        l.cjdbc_execute_write_into(cj, crate::request::DbQuery::Stmt(op), &mut Vec::new())
+            .unwrap();
+    }
+
     fn read_op() -> SqlOp {
         SqlOp::new(test_schema().count("t"), SimDuration::from_millis(2))
     }
@@ -1051,11 +1016,11 @@ mod tests {
             backends.push(m);
         }
         // Create the schema cluster-wide.
-        l.cjdbc_execute_write(
+        write(
+            l,
             cj,
             &SqlOp::new(test_schema().create_table("t"), SimDuration::ZERO),
-        )
-        .unwrap();
+        );
         (cj, backends)
     }
 
@@ -1064,7 +1029,7 @@ mod tests {
         let mut l = layer(6);
         let (cj, backends) = db_cluster(&mut l, 3);
         for i in 0..10 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            write(&mut l, cj, &write_op(i));
         }
         let digests: Vec<u64> = backends
             .iter()
@@ -1078,7 +1043,7 @@ mod tests {
         let mut l = layer(6);
         let (cj, backends) = db_cluster(&mut l, 1);
         for i in 0..20 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            write(&mut l, cj, &write_op(i));
         }
         // New replica joins late.
         let node = l.cluster.allocate().unwrap();
@@ -1091,7 +1056,7 @@ mod tests {
         l.cjdbc_enable_backend(cj, m2).unwrap();
         // More writes land during the replay window.
         for i in 100..105 {
-            l.cjdbc_execute_write(cj, &write_op(i)).unwrap();
+            write(&mut l, cj, &write_op(i));
         }
         // Process replay batches until activation.
         let mut activated = false;
@@ -1128,7 +1093,7 @@ mod tests {
     fn reads_are_distributed_and_execute() {
         let mut l = layer(6);
         let (cj, _) = db_cluster(&mut l, 2);
-        l.cjdbc_execute_write(cj, &write_op(1)).unwrap();
+        write(&mut l, cj, &write_op(1));
         let mut rng = SimRng::seed_from_u64(1);
         let read = read_op();
         let (b1, d) = l

@@ -14,9 +14,10 @@
 //!
 //! The interpreted statement path stays intact as the fallback and as the
 //! differential oracle: [`PlanStep::statement`] re-materializes the exact
-//! prepared statement a step stands for (the recovery log still records
-//! statements, and `tests/plan_prop.rs` proves result/error/digest parity
-//! between the two executions).
+//! prepared statement a step stands for, and `tests/plan_prop.rs` proves
+//! result/error/digest parity between the two executions. The dispatch
+//! path never calls it: the recovery log records the primary's
+//! `WriteDelta`, not a statement.
 
 use crate::sql::{ColId, Statement, TableId, Value};
 use jade_sim::SimDuration;
@@ -113,14 +114,8 @@ impl PlanStep {
 
     /// Re-materializes the prepared [`Statement`] this step stands for
     /// under a concrete parameter buffer — byte-equal to what the
-    /// interpreted generator would have built. The recovery log records
-    /// statements ("all write requests are logged and indexed as
-    /// strings", paper §4.1), and a replica without a captured delta
-    /// re-executes the statement, so the write path materializes one per
-    /// logged write; reads never call this.
-    // jade-audit: allow(hot-alloc): materializes a statement tree only on
-    // the write path, where the statement becomes the recovery-log entry
-    // shared by every replica; reads never take this path.
+    /// interpreted generator would have built. A test and bench helper:
+    /// neither the read nor the write dispatch path calls it.
     pub fn statement(&self, params: &[Value]) -> Statement {
         match &self.op {
             StepOp::ReadKey { table, key } => Statement::SelectByKey {

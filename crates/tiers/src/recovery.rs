@@ -12,10 +12,14 @@
 //!
 //! Two refinements over the literal model:
 //!
-//! * each entry carries the [`WriteDelta`] the primary captured when it
-//!   executed the write, so replay applies physical effects instead of
-//!   re-evaluating statements (the string form is rendered lazily, only
-//!   when diagnostics ask for it — never on the hot append path);
+//! * an entry is the [`WriteDelta`] the primary captured when it executed
+//!   the write — the written *state*, not a second copy of the statement —
+//!   so replay applies physical effects instead of re-evaluating
+//!   statements, and the string form is rendered from the delta only when
+//!   diagnostics ask for it (never on the hot append path). A write that
+//!   failed on the primary is logged as a no-effect entry: every storage
+//!   error is raised before any mutation, so it failed identically on
+//!   every replica;
 //! * every [`RecoveryLog::snapshot_interval`] writes the log accepts a
 //!   copy-on-write checkpoint [`Snapshot`] of the cluster state, so a
 //!   joining backend receives {nearest snapshot, delta tail} — O(delta) —
@@ -24,32 +28,52 @@
 //!   keeping virtual-time trajectories identical to the full-replay
 //!   implementation (the digest-neutral contract).
 
-use crate::sql::{Schema, Statement};
+use crate::sql::{ColId, Schema, Statement};
 use crate::storage::{Snapshot, WriteDelta};
+use jade_sim::id_u16;
 use std::sync::Arc;
 
-/// A logged write: global index, the statement (structured, for
-/// diagnostics and statement-level replay fallback) and the physical
-/// delta captured by the primary. Both are `Arc`-shared with the
-/// broadcast that produced them — logging a write never clones either.
+/// A logged write: its global index and the physical delta the primary
+/// captured. The delta holds its row image by `Arc`, shared with every
+/// replica's slot, so logging a write allocates no row of its own.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     /// Global write index (0-based, dense).
     pub index: u64,
-    /// The write statement.
-    pub statement: Arc<Statement>,
-    /// The primary's captured physical effect. `None` when the write was
-    /// logged without delta capture (statement-replay mode, or the
-    /// statement errored on the primary) — replay then re-executes the
-    /// statement, which reproduces the identical outcome.
-    pub delta: Option<Arc<WriteDelta>>,
+    /// The primary's captured physical effect ([`WriteDelta::Noop`] when
+    /// the write changed nothing, including a write that failed).
+    pub delta: WriteDelta,
 }
 
 impl LogEntry {
-    /// The rendered string form (what C-JDBC actually persisted),
-    /// produced on demand — the hot write path never renders.
+    /// The rendered string form of the written state, produced on demand
+    /// — the hot write path never renders. An update renders its full
+    /// post-image (non-`NULL` columns); a no-effect entry renders as an
+    /// SQL comment.
     pub fn render(&self, schema: &Schema) -> String {
-        self.statement.render(schema)
+        let stmt = match &self.delta {
+            WriteDelta::CreateTable { table } => Statement::CreateTable { table: *table },
+            WriteDelta::Insert { table, row, .. } => Statement::Insert {
+                table: *table,
+                row: row.to_vec(),
+            },
+            WriteDelta::Update { table, key, row } => Statement::Update {
+                table: *table,
+                key: *key,
+                set: row
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| !v.is_null())
+                    .map(|(ci, v)| (ColId(id_u16(ci)), v.clone()))
+                    .collect(),
+            },
+            WriteDelta::Delete { table, key } => Statement::Delete {
+                table: *table,
+                key: *key,
+            },
+            WriteDelta::Noop => return "-- no effect".to_owned(),
+        };
+        stmt.render(schema)
     }
 }
 
@@ -105,35 +129,14 @@ impl RecoveryLog {
         }
     }
 
-    /// Appends a write without a captured delta (statement-replay mode),
-    /// returning its index. Panics on non-write statements — reads must
-    /// never reach the log.
-    pub fn append(&mut self, statement: Arc<Statement>) -> u64 {
-        self.push_entry(statement, None)
-    }
-
-    /// Appends a write together with the physical delta its primary
-    /// captured, returning its index.
-    pub fn append_captured(&mut self, statement: Arc<Statement>, delta: Arc<WriteDelta>) -> u64 {
-        self.push_entry(statement, Some(delta))
-    }
-
+    /// Appends a write's captured delta, returning its index.
     // jade-audit: allow(unbounded-growth): the recovery log intentionally
     // retains every write of the run — it is the replay source that
     // brings checkpointed replicas back in sync (paper's RAIDb-1
     // recovery); truncating it would break resync.
-    fn push_entry(&mut self, statement: Arc<Statement>, delta: Option<Arc<WriteDelta>>) -> u64 {
-        assert!(
-            statement.is_write(),
-            "only write requests are logged (got {})",
-            statement.render(&self.schema)
-        );
+    pub fn append(&mut self, delta: WriteDelta) -> u64 {
         let index = self.entries.len() as u64;
-        self.entries.push(LogEntry {
-            index,
-            statement,
-            delta,
-        });
+        self.entries.push(LogEntry { index, delta });
         index
     }
 
@@ -231,22 +234,32 @@ mod tests {
     use crate::storage::Database;
 
     fn schema() -> Arc<Schema> {
-        Schema::builder().table("t", &["a"]).build()
+        Schema::builder().table("t", &["a", "b"]).build()
     }
 
-    fn log() -> RecoveryLog {
-        RecoveryLog::new(schema())
+    /// A database with `t` created, and the log of that create.
+    fn setup() -> (Database, RecoveryLog) {
+        let schema = schema();
+        let mut db = Database::new(Arc::clone(&schema));
+        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        log.append(capture(&mut db, &schema.create_table("t")));
+        (db, log)
     }
 
-    fn w(i: i64) -> Arc<Statement> {
-        Arc::new(schema().insert("t", &[("a", Value::Int(i))]))
+    fn capture(db: &mut Database, stmt: &Statement) -> WriteDelta {
+        db.execute_capture(stmt)
+            .map_or(WriteDelta::Noop, |(_, d)| d)
+    }
+
+    fn w(i: i64) -> Statement {
+        schema().insert("t", &[("a", Value::Int(i))])
     }
 
     #[test]
     fn indices_are_dense_and_ordered() {
-        let mut log = log();
-        assert_eq!(log.append(w(1)), 0);
-        assert_eq!(log.append(w(2)), 1);
+        let mut log = RecoveryLog::new(schema());
+        assert_eq!(log.append(WriteDelta::Noop), 0);
+        assert_eq!(log.append(WriteDelta::Noop), 1);
         assert_eq!(log.head(), 2);
         let tail = log.entries_from(1);
         assert_eq!(tail.len(), 1);
@@ -257,50 +270,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only write requests")]
-    fn reads_are_rejected() {
-        let mut log = log();
-        log.append(Arc::new(schema().count("t")));
-    }
-
-    #[test]
-    fn rendered_strings_match_statements() {
-        let mut log = log();
-        log.append(w(7));
-        assert_eq!(log.rendered().next().unwrap(), "INSERT INTO t SET a=7");
-    }
-
-    #[test]
-    fn captured_deltas_ride_along() {
+    fn entries_render_the_written_state() {
         let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
-        let stmt = w(3);
-        let (_, delta) = db.execute_capture(&stmt).unwrap();
-        log.append_captured(Arc::clone(&stmt), Arc::new(delta));
-        log.append(w(4));
-        let entries = log.entries_from(0);
-        assert!(entries[0].delta.is_some());
-        assert!(entries[1].delta.is_none());
+        let (mut db, mut log) = setup();
+        log.append(capture(&mut db, &w(7)));
+        log.append(capture(
+            &mut db,
+            &schema.update("t", 0, &[("b", Value::Int(3))]),
+        ));
+        log.append(capture(
+            &mut db,
+            &schema.update("t", 9, &[("b", Value::Int(3))]),
+        ));
+        log.append(capture(
+            &mut db,
+            &Statement::Delete {
+                table: schema.must_table("t"),
+                key: 0,
+            },
+        ));
+        let rendered: Vec<String> = log.rendered().collect();
+        assert_eq!(
+            rendered,
+            [
+                "CREATE TABLE t",
+                "INSERT INTO t SET a=7",
+                // The post-image, not the statement: `a` is state too.
+                "UPDATE t SET a=7, b=3 WHERE id=0",
+                "-- no effect",
+                "DELETE FROM t WHERE id=0",
+            ]
+        );
     }
 
     #[test]
     fn snapshot_cadence_and_nearest_lookup() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        let (mut db, mut log) = setup();
         log.set_snapshot_interval(4);
-        assert!(!log.snapshot_due(), "empty log needs no snapshot");
-        for i in 0..10 {
-            log.append(w(i));
-            let _ = db.execute(&schema.insert("t", &[("a", Value::Int(i))]));
+        for i in 0..9 {
+            log.append(capture(&mut db, &w(i)));
             if log.snapshot_due() {
                 log.install_snapshot(db.snapshot());
             }
         }
-        // Snapshots landed at positions 4 and 8.
+        // 10 entries (create + 9 inserts): snapshots at positions 4 and 8.
         assert_eq!(log.snapshot_count(), 2);
         assert_eq!(log.nearest_snapshot(0).map(|(p, _)| *p), Some(8));
         assert_eq!(log.nearest_snapshot(7).map(|(p, _)| *p), Some(8));
@@ -310,14 +323,10 @@ mod tests {
 
     #[test]
     fn sync_plan_prefers_snapshot_but_reports_full_backlog() {
-        let schema = schema();
-        let mut db = Database::new(Arc::clone(&schema));
-        db.execute(&schema.create_table("t")).unwrap();
-        let mut log = RecoveryLog::new(Arc::clone(&schema));
+        let (mut db, mut log) = setup();
         log.set_snapshot_interval(4);
-        for i in 0..6 {
-            log.append(w(i));
-            let _ = db.execute(&schema.insert("t", &[("a", Value::Int(i))]));
+        for i in 0..5 {
+            log.append(capture(&mut db, &w(i)));
             if log.snapshot_due() {
                 log.install_snapshot(db.snapshot());
             }
@@ -328,6 +337,13 @@ mod tests {
         assert_eq!(plan.snapshot.as_ref().map(|(p, _)| *p), Some(4));
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.backlog, 6);
+        // Snapshot + tail reproduces the primary.
+        let (_, snap) = plan.snapshot.as_ref().unwrap();
+        let mut joiner = Database::from_snapshot(snap);
+        for e in &plan.entries {
+            joiner.apply_delta(&e.delta).unwrap();
+        }
+        assert_eq!(joiner.digest(), db.digest());
         // A backend checkpointed past the snapshot gets the plain tail.
         let plan = log.sync_plan(5);
         assert!(plan.snapshot.is_none());

@@ -222,9 +222,10 @@ pub enum WriteDelta {
         /// The inserted row image, shared with the primary's slot.
         row: SharedRow,
     },
-    /// The row at `key` was replaced by `row`; `changed` lists the
-    /// columns whose value actually changed (the index entries to move —
-    /// old values are read from the applying replica's identical row).
+    /// The row at `key` was replaced by `row`. The index entries to move
+    /// are found by comparing the applying replica's pre-image (identical
+    /// to the primary's) with this post-image, so the delta carries no
+    /// column list and cloning it is one row-`Arc` bump.
     Update {
         /// Table updated.
         table: TableId,
@@ -232,8 +233,6 @@ pub enum WriteDelta {
         key: u64,
         /// The full post-update row image, shared with the primary.
         row: SharedRow,
-        /// Columns whose value changed (no-op column sets are skipped).
-        changed: Vec<ColId>,
     },
     /// The row at `key` was removed.
     Delete {
@@ -242,7 +241,9 @@ pub enum WriteDelta {
         /// Key of the removed row.
         key: u64,
     },
-    /// The write affected nothing (update/delete of a missing key).
+    /// The write affected nothing: an update/delete of a missing key, or
+    /// a write that failed on the primary. Every storage error is raised
+    /// before any mutation, so a failed write changed no replica either.
     Noop,
 }
 
@@ -637,7 +638,6 @@ impl Database {
                 let t = self.table_mut(*table);
                 match t.rows.take(k) {
                     Some(mut shared) => {
-                        let mut changed = Vec::with_capacity(set.len());
                         for (col, operand) in set {
                             let v = operand.resolve(params);
                             let old = &shared[col.0 as usize];
@@ -648,7 +648,6 @@ impl Database {
                             t.index_remove(*col, &old, k);
                             t.index_insert_sorted(*col, v, k);
                             Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                            changed.push(*col);
                         }
                         let image = Arc::clone(&shared);
                         t.rows.set(k, shared);
@@ -661,7 +660,6 @@ impl Database {
                                 table: *table,
                                 key: k,
                                 row: image,
-                                changed,
                             },
                         ))
                     }
@@ -842,7 +840,6 @@ impl Database {
                 let t = self.table_mut(*table);
                 match t.rows.take(*key) {
                     Some(mut shared) => {
-                        let mut changed = Vec::with_capacity(set.len());
                         for (col, v) in set {
                             let old = &shared[col.0 as usize];
                             if *old == *v {
@@ -852,7 +849,6 @@ impl Database {
                             t.index_remove(*col, &old, *key);
                             t.index_insert_sorted(*col, v, *key);
                             Arc::make_mut(&mut shared)[col.0 as usize] = v.clone();
-                            changed.push(*col);
                         }
                         let image = Arc::clone(&shared);
                         t.rows.set(*key, shared);
@@ -865,7 +861,6 @@ impl Database {
                                 table: *table,
                                 key: *key,
                                 row: image,
-                                changed,
                             },
                         ))
                     }
@@ -934,27 +929,23 @@ impl Database {
                 t.live += 1;
                 Ok(())
             }
-            WriteDelta::Update {
-                table,
-                key,
-                row,
-                changed,
-            } => {
+            WriteDelta::Update { table, key, row } => {
                 self.table_ref(*table)?;
                 let t = self.table_mut(*table);
-                match t.rows.take(*key) {
-                    Some(old) => {
-                        // The replica's pre-image equals the primary's, so
-                        // the old index entries are read from it directly.
-                        for &col in changed {
-                            t.index_remove(col, &old[col.0 as usize], *key);
-                            t.index_insert_sorted(col, &row[col.0 as usize], *key);
+                if let Some(old) = t.rows.take(*key) {
+                    // The replica's pre-image equals the primary's, so the
+                    // index entries to move are exactly the indexed columns
+                    // whose value differs between pre- and post-image.
+                    for ci in 0..t.indexes.len() {
+                        if t.indexes[ci].is_some() && old[ci] != row[ci] {
+                            let col = ColId(id_u16(ci));
+                            t.index_remove(col, &old[ci], *key);
+                            t.index_insert_sorted(col, &row[ci], *key);
                         }
-                        t.rows.set(*key, Arc::clone(row));
-                        Ok(())
                     }
-                    None => Ok(()),
+                    t.rows.set(*key, Arc::clone(row));
                 }
+                Ok(())
             }
             WriteDelta::Delete { table, key } => {
                 self.table_ref(*table)?;

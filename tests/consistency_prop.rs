@@ -6,7 +6,7 @@
 use jade_propcheck::{run, Gen};
 use jade_tiers::cjdbc::{BackendStatus, CjdbcController, ReadPolicy};
 use jade_tiers::sql::{Schema, Statement, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -67,13 +67,26 @@ impl Model {
         model
     }
 
+    /// The primary executes and captures the delta the log keeps; the
+    /// other active backends re-execute the statement, so live writes and
+    /// log replay (which applies deltas) take independent paths.
     fn write(&mut self, stmt: Statement) {
-        let stmt = Arc::new(stmt);
-        if let Ok((_, targets)) = self.ctrl.route_write(Arc::clone(&stmt)) {
-            for t in targets {
+        let Some(primary) = self.ctrl.write_primary() else {
+            return;
+        };
+        let delta = self
+            .dbs
+            .get_mut(&primary)
+            .unwrap()
+            .execute_capture(&stmt)
+            .map_or(WriteDelta::Noop, |(_, d)| d);
+        let mut targets = Vec::new();
+        self.ctrl.route_write_into(delta, &mut targets).unwrap();
+        for t in targets {
+            if t != primary {
                 let _ = self.dbs.get_mut(&t).unwrap().execute(&stmt);
-                self.ctrl.note_complete(t);
             }
+            self.ctrl.note_complete(t);
         }
     }
 
@@ -93,14 +106,7 @@ impl Model {
                 *db = Database::from_snapshot(snapshot);
             }
             for entry in &batch.entries {
-                match &entry.delta {
-                    Some(delta) => {
-                        let _ = db.apply_delta(delta);
-                    }
-                    None => {
-                        let _ = db.execute(&entry.statement);
-                    }
-                }
+                let _ = db.apply_delta(&entry.delta);
             }
             match self.ctrl.finish_replay(id).unwrap() {
                 Some(next) => batch = next,

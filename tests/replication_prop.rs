@@ -13,17 +13,24 @@
 //! replay batches race new writes: joins go through `SyncPlan` (nearest
 //! checkpoint snapshot + delta tail, at an aggressively small snapshot
 //! interval so the snapshot path is actually taken), and at the end every
-//! replica must match a from-scratch full-statement-log replay.
+//! replica must match a from-scratch replay of the model's own statement
+//! history (the log itself keeps only deltas).
+//!
+//! The third property pins the rule that lets a failed write be logged
+//! as a no-effect entry: a write whose capture fails leaves the primary
+//! exactly as it was.
 //!
 //! Reproduce a failure with `PROPCHECK_SEED` / `PROPCHECK_CASES` as
 //! printed by the harness.
 
 use jade_bench::NaiveReplication;
 use jade_propcheck::{run, Gen};
+use jade_sim::SimDuration;
 use jade_tiers::cjdbc::{BackendStatus, CjdbcController, ReadPolicy};
+use jade_tiers::plan::{Operand, PlanStep, StepOp};
 use jade_tiers::recovery::SyncPlan;
 use jade_tiers::sql::{ColId, Schema, Statement, TableId, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -116,11 +123,11 @@ fn delta_apply_matches_reexecution() {
                     by_delta.apply_delta(&delta).expect("delta applies");
                     let _ = by_statement.execute(stmt);
                 }
-                // The write failed on the primary: every replica
-                // re-executes it and fails identically (there is no
-                // delta to share).
+                // The write failed on the primary: it is logged as a
+                // no-effect entry, while the re-executing replica fails
+                // the same way.
                 Err(_) => {
-                    let _ = by_delta.execute(stmt);
+                    by_delta.apply_delta(&WriteDelta::Noop).expect("noop");
                     let _ = by_statement.execute(stmt);
                 }
             }
@@ -181,6 +188,9 @@ struct Model {
     dbs: BTreeMap<ServerId, Database>,
     pending: BTreeMap<ServerId, SyncPlan>,
     schema: Arc<Schema>,
+    /// Every logged write's statement, in log order: the oracle's replay
+    /// source (the recovery log keeps deltas, not statements).
+    history: Vec<Statement>,
 }
 
 impl Model {
@@ -200,33 +210,28 @@ impl Model {
             dbs,
             pending: BTreeMap::new(),
             schema,
+            history: Vec::new(),
         }
     }
 
     fn write(&mut self, stmt: Statement) {
-        let stmt = Arc::new(stmt);
         let Some(primary) = self.ctrl.write_primary() else {
             return;
         };
-        let delta = match self.dbs.get_mut(&primary).unwrap().execute_capture(&stmt) {
-            Ok((_, delta)) => Some(Arc::new(delta)),
-            Err(_) => None,
-        };
+        let delta = self
+            .dbs
+            .get_mut(&primary)
+            .unwrap()
+            .execute_capture(&stmt)
+            .map_or(WriteDelta::Noop, |(_, delta)| delta);
         let mut targets = Vec::new();
         self.ctrl
-            .route_write_into(Arc::clone(&stmt), delta.clone(), &mut targets)
+            .route_write_into(delta.clone(), &mut targets)
             .expect("primary exists, so actives exist");
+        self.history.push(stmt);
         assert_eq!(targets[0], primary);
         for &b in &targets[1..] {
-            let db = self.dbs.get_mut(&b).unwrap();
-            match &delta {
-                Some(delta) => {
-                    let _ = db.apply_delta(delta);
-                }
-                None => {
-                    let _ = db.execute(&stmt);
-                }
-            }
+            let _ = self.dbs.get_mut(&b).unwrap().apply_delta(&delta);
             self.ctrl.note_complete(b);
         }
         self.ctrl.note_complete(primary);
@@ -242,14 +247,7 @@ impl Model {
             *db = Database::from_snapshot(snapshot);
         }
         for entry in &plan.entries {
-            match &entry.delta {
-                Some(delta) => {
-                    let _ = db.apply_delta(delta);
-                }
-                None => {
-                    let _ = db.execute(&entry.statement);
-                }
-            }
+            let _ = db.apply_delta(&entry.delta);
         }
     }
 
@@ -330,7 +328,7 @@ impl Model {
 
 /// Under arbitrary membership churn — including syncs left open across
 /// racing writes — snapshot+tail joins converge every replica to the
-/// digest of a from-scratch full-statement-log replay.
+/// digest of a from-scratch replay of every logged write's statement.
 #[test]
 fn churned_replicas_match_full_log_replay() {
     run("churned_replicas_match_full_log_replay", 192, |g| {
@@ -355,11 +353,13 @@ fn churned_replicas_match_full_log_replay() {
         for id in ids {
             m.enable_fully(id);
         }
-        // Oracle: replay the whole statement log from scratch, ignoring
-        // snapshots and deltas entirely.
+        // Oracle: replay the model's statement history from scratch,
+        // ignoring snapshots and deltas entirely. It covers exactly the
+        // logged writes.
+        assert_eq!(m.history.len() as u64, m.ctrl.recovery_log().head());
         let mut oracle = Database::new(Arc::clone(&schema));
-        for entry in m.ctrl.recovery_log().entries_from(0) {
-            let _ = oracle.execute(&entry.statement);
+        for stmt in &m.history {
+            let _ = oracle.execute(stmt);
         }
         let expect = oracle.digest();
         for (id, db) in &m.dbs {
@@ -369,6 +369,73 @@ fn churned_replicas_match_full_log_replay() {
                 "replica {id:?} diverged from full-log replay \
                  (snapshot_every={snapshot_every})"
             );
+        }
+    });
+}
+
+/// The compiled step a statement-level write stands for (constant
+/// operands), or `None` for kinds the compiled path has no opcode for.
+fn as_step(stmt: &Statement) -> Option<PlanStep> {
+    let op = match stmt {
+        Statement::Insert { table, row } => StepOp::Insert {
+            table: *table,
+            row: row.iter().cloned().map(Operand::Const).collect(),
+        },
+        Statement::Update { table, key, set } => StepOp::Update {
+            table: *table,
+            key: Operand::Const(Value::Int(*key as i64)),
+            set: set
+                .iter()
+                .map(|(c, v)| (*c, Operand::Const(v.clone())))
+                .collect(),
+        },
+        _ => return None,
+    };
+    Some(PlanStep {
+        op,
+        demand: SimDuration::ZERO,
+    })
+}
+
+/// A write whose capture fails — statement or compiled step — leaves the
+/// primary exactly as it was (same digest, same indexes), which is what
+/// lets the log record it as a no-effect entry that replicas skip.
+#[test]
+fn failed_capture_leaves_the_primary_unchanged() {
+    run("failed_capture_leaves_the_primary_unchanged", 256, |g| {
+        let schema = gen_schema(g);
+        let mut db = Database::new(Arc::clone(&schema));
+        // Create only some tables, so writes to the others fail.
+        for t in 0..schema.len() {
+            if g.bool() {
+                let _ = db.execute(&Statement::CreateTable {
+                    table: TableId(t as u16),
+                });
+            }
+        }
+        for stmt in g.vec(1..60, |g| gen_write(g, &schema)) {
+            let before = db.clone();
+            let failed = db.execute_capture(&stmt).is_err();
+            if failed {
+                assert_eq!(
+                    db.digest(),
+                    before.digest(),
+                    "failed {stmt:?} moved the digest"
+                );
+                assert!(db == before, "failed {stmt:?} mutated the primary");
+            }
+            if let Some(step) = as_step(&stmt) {
+                let before = db.clone();
+                let step_failed = db.execute_step_capture(&step, &[]).is_err();
+                assert_eq!(
+                    step_failed, failed,
+                    "step and statement disagree on {stmt:?}"
+                );
+                if step_failed {
+                    assert_eq!(db.digest(), before.digest());
+                    assert!(db == before, "failed step {stmt:?} mutated the primary");
+                }
+            }
         }
     });
 }

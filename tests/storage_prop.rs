@@ -24,7 +24,7 @@ use jade_bench::{NaiveDatabase, NaiveQueryResult, NaiveRow};
 use jade_propcheck::{run, Gen};
 use jade_tiers::cjdbc::{CjdbcController, ReadPolicy};
 use jade_tiers::sql::{ColId, QueryResult, Schema, Statement, TableId, Value};
-use jade_tiers::storage::Database;
+use jade_tiers::storage::{Database, WriteDelta};
 use jade_tiers::ServerId;
 use std::sync::Arc;
 
@@ -169,9 +169,11 @@ fn interned_engine_matches_naive_reference() {
 }
 
 /// Recovery-log replay converges a late joiner on both engines: writes go
-/// through the controller to one active replica of each kind; a second
-/// pair of replicas then joins by replaying the logged statements, and all
-/// four digests must be equal.
+/// through the controller to one active replica of each kind (the interned
+/// one captures the delta the log keeps); a second pair of replicas then
+/// joins — the interned joiner applies the logged deltas, the naive one
+/// re-executes the test's statement at each logged index — and all four
+/// digests must be equal.
 #[test]
 fn recovery_replay_converges_on_both_engines() {
     run("recovery_replay_converges_on_both_engines", 128, |g| {
@@ -200,12 +202,15 @@ fn recovery_replay_converges_on_both_engines() {
 
         let mut interned = Database::new(Arc::clone(&schema));
         let mut naive = NaiveDatabase::new();
+        let mut targets = Vec::new();
         for stmt in &writes {
-            let stmt = Arc::new(stmt.clone());
-            ctrl.route_write(Arc::clone(&stmt)).unwrap();
-            let _ = interned.execute(&stmt);
-            let _ = naive.execute(&schema, &stmt);
+            let delta = interned
+                .execute_capture(stmt)
+                .map_or(WriteDelta::Noop, |(_, d)| d);
+            ctrl.route_write_into(delta, &mut targets).unwrap();
+            let _ = naive.execute(&schema, stmt);
         }
+        assert_eq!(ctrl.recovery_log().head(), writes.len() as u64);
 
         // A fresh pair of replicas joins by replaying the exact log suffix.
         let joiner = ServerId(1);
@@ -215,8 +220,8 @@ fn recovery_replay_converges_on_both_engines() {
         let mut batch = ctrl.begin_enable(joiner).unwrap();
         loop {
             for entry in &batch.entries {
-                let _ = late_interned.execute(&entry.statement);
-                let _ = late_naive.execute(&schema, &entry.statement);
+                let _ = late_interned.apply_delta(&entry.delta);
+                let _ = late_naive.execute(&schema, &writes[entry.index as usize]);
             }
             match ctrl.finish_replay(joiner).unwrap() {
                 Some(next) => batch = next,
